@@ -65,7 +65,11 @@ public:
 
   /// Persists a freshly compiled artifact. Write-once per key: an
   /// already-persisted equal artifact may be skipped; only a program-
-  /// image upgrade replaces an existing entry.
+  /// image upgrade replaces an existing entry. May return before the
+  /// artifact is durable (a write-behind store), and may drop it: a
+  /// store that never lands is a later cold miss, never a wrong answer.
+  /// An implementation that answers before durability should answer
+  /// load() for the key from what it still holds (read-your-writes).
   virtual void store(const CompiledModule &Art) = 0;
 };
 

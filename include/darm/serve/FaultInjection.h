@@ -27,7 +27,8 @@
 ///             disconnect (the fd is poisoned: every later op fails too),
 ///             slow-loris delays (bounded, milliseconds)
 ///   store fs  ENOSPC/EIO on writes, EIO on reads, fsync failure,
-///             rename failure, open failure
+///             rename failure, open failure, slow-disk delays on writes
+///             and fsyncs (bounded, milliseconds)
 ///
 //===----------------------------------------------------------------------===//
 #ifndef DARM_SERVE_FAULTINJECTION_H
@@ -86,9 +87,10 @@ public:
     double Rate = 0.05;
     bool FaultSockets = true;
     bool FaultStore = true;
-    /// Upper bound for injected slow-loris delays. Kept small so a
-    /// faulted battery still terminates fast; deadline tests install
-    /// plans with delays above their frame timeout.
+    /// Upper bound for injected delays: slow-loris sockets and slow-disk
+    /// store writes/fsyncs. Kept small so a faulted battery still
+    /// terminates fast; deadline tests install plans with delays above
+    /// their frame timeout, queue tests stall the store's writer.
     unsigned MaxDelayMs = 2;
   };
 
@@ -109,6 +111,8 @@ public:
   static bool parse(const std::string &Spec, Options &O, std::string *Err);
 
 private:
+  /// A Delay decision of 1..MaxDelayMs ms (0 when MaxDelayMs is 0).
+  FaultDecision stall(uint64_t Extra) const;
   static Options mk(uint64_t Seed, double Rate) {
     Options O;
     O.Seed = Seed;

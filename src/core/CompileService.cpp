@@ -354,10 +354,13 @@ CompileService::Artifact CompileService::getOrCompile(const Function &F,
   auto Art = std::make_shared<const CompiledModule>(
       compileArtifactImpl(F, Snap.empty() ? nullptr : &Snap, K.IRHash, FP,
                           Compile, IncludeProgram));
-  // Persist before inserting: even when the insert loses a duplicate
-  // race (or the artifact is oversized for the in-memory budget), the
-  // store's write-once rule makes the extra store a no-op, and the disk
-  // copy is what survives the process.
+  // Hand to the store before inserting: even when the insert loses a
+  // duplicate race (or the artifact is oversized for the in-memory
+  // budget), the store's write-once rule makes the extra store a no-op,
+  // and the disk copy is what survives the process. A write-behind store
+  // returns before the write is durable and answers repeat loads of the
+  // key from its queue, so an oversized artifact's repeat request is a
+  // DiskHit even before the file lands.
   if (Persist)
     Persist->store(*Art);
   if (Source)

@@ -1,10 +1,12 @@
 //===- ArtifactStore.cpp - On-disk artifact persistence -----------------------===//
 //
 // Write-once artifact files under an atomic temp-file + rename
-// discipline, fully validated on load, LRU-evicted to a byte budget
-// (serve/ArtifactStore.h, docs/caching.md, docs/serving.md). Every
-// failure mode — absent, truncated, flipped, wrong magic/version, torn,
-// mis-keyed, out-of-space — degrades to a cold miss or a dropped store.
+// discipline, written behind the caller by one writer thread, fully
+// validated on load, LRU-evicted to a byte budget (serve/ArtifactStore.h,
+// docs/caching.md, docs/serving.md). Every failure mode — absent,
+// truncated, flipped, wrong magic/version, torn, mis-keyed,
+// out-of-space, queue full, crash before the write — degrades to a cold
+// miss or a dropped store.
 // All filesystem I/O goes through the fi* primitives so the chaos
 // battery (tests/chaos_test.cpp) can schedule ENOSPC/EIO/fsync faults
 // against the real code paths.
@@ -113,6 +115,19 @@ bool parseHex64(const char *S, uint64_t &V) {
   return true;
 }
 
+/// The NeedProgram rule (core/CompileService.h): a program-less artifact
+/// does not satisfy a request for a program image; a failed one does.
+bool satisfies(const CompiledModule &Art, bool NeedProgram) {
+  return !NeedProgram || Art.failed() || !Art.ProgramBytes.empty();
+}
+
+/// The write-once exception: \p Art replaces \p Incumbent only when it
+/// adds a program image to a successful program-less artifact.
+bool upgrades(const CompiledModule &Incumbent, const CompiledModule &Art) {
+  return !Incumbent.failed() && Incumbent.ProgramBytes.empty() &&
+         !Art.ProgramBytes.empty();
+}
+
 bool endsWith(const char *Name, const char *Suffix) {
   const size_t N = std::strlen(Name), S = std::strlen(Suffix);
   return N >= S && std::strcmp(Name + (N - S), Suffix) == 0;
@@ -133,6 +148,52 @@ FileArtifactStore::FileArtifactStore(std::string Dir, Options Opts)
   Usable = true;
   sweepStaleTemps();
   collectGarbage();
+  Writer = std::thread([this] { writerLoop(); });
+}
+
+FileArtifactStore::~FileArtifactStore() {
+  if (!Writer.joinable())
+    return;
+  flush();
+  {
+    std::lock_guard<std::mutex> L(QueueM);
+    Stopping = true;
+  }
+  WorkCv.notify_one();
+  Writer.join();
+}
+
+void FileArtifactStore::writerLoop() {
+  std::unique_lock<std::mutex> L(QueueM);
+  for (;;) {
+    WorkCv.wait(L, [this] { return Stopping || !Queue.empty(); });
+    if (Queue.empty())
+      return; // stopping, and nothing left to write
+    const auto It = Queue.front();
+    Queue.pop_front();
+    It->second.Queued = false;
+    const std::shared_ptr<const CompiledModule> Art = It->second.Art;
+    QueuedBytes -= Art->byteSize();
+    L.unlock();
+    try {
+      writeArtifact(*Art);
+    } catch (...) {
+      // An allocation failure mid-write is a failed write like ENOSPC:
+      // the key stays a cold miss. Escaping the thread would terminate
+      // the process over a loss the store's contract already allows.
+    }
+    L.lock();
+    // Retire the key unless an upgrade re-queued it during the write.
+    if (!It->second.Queued)
+      Pending.erase(It);
+    if (Pending.empty())
+      IdleCv.notify_all();
+  }
+}
+
+void FileArtifactStore::flush() {
+  std::unique_lock<std::mutex> L(QueueM);
+  IdleCv.wait(L, [this] { return Pending.empty(); });
 }
 
 void FileArtifactStore::sweepStaleTemps() {
@@ -234,12 +295,23 @@ FileArtifactStore::load(uint64_t IRHash, const std::string &Fingerprint,
     LoadMisses.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
+  // Read-your-writes: a key whose write has not landed yet answers from
+  // the queue. One that fails the NeedProgram rule falls through to disk,
+  // which may still hold an older program-carrying artifact.
+  {
+    std::lock_guard<std::mutex> L(QueueM);
+    const auto It = Pending.find(Key(IRHash, Fingerprint));
+    if (It != Pending.end() && satisfies(*It->second.Art, NeedProgram)) {
+      Loads.fetch_add(1, std::memory_order_relaxed);
+      return It->second.Art;
+    }
+  }
   const std::string Path = pathFor(IRHash, Fingerprint);
   std::vector<uint8_t> Bytes;
   auto Art = std::make_shared<CompiledModule>();
   if (!readFileBytes(Path, Bytes) ||
       !validateArtifact(Bytes, IRHash, Fingerprint, *Art) ||
-      (NeedProgram && !Art->failed() && Art->ProgramBytes.empty())) {
+      !satisfies(*Art, NeedProgram)) {
     LoadMisses.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -254,6 +326,53 @@ FileArtifactStore::load(uint64_t IRHash, const std::string &Fingerprint,
 void FileArtifactStore::store(const CompiledModule &Art) {
   if (!Usable)
     return;
+  auto Copy = std::make_shared<const CompiledModule>(Art);
+  const size_t Bytes = Copy->byteSize();
+  // Admits \p Add more queued bytes in place of \p Sub; an empty queue
+  // admits anything, so one artifact over the bound still persists.
+  const auto Fits = [this](size_t Add, size_t Sub) {
+    return QueuedBytes == Sub || QueuedBytes - Sub + Add <= kMaxQueuedBytes;
+  };
+  {
+    std::lock_guard<std::mutex> L(QueueM);
+    const auto [It, Fresh] =
+        Pending.try_emplace(Key(Art.IRHash, Art.Fingerprint));
+    if (Fresh) {
+      if (!Fits(Bytes, 0)) {
+        Pending.erase(It);
+        Dropped.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      It->second.Art = std::move(Copy);
+      Queue.push_back(It);
+      QueuedBytes += Bytes;
+    } else {
+      // The key's write is still pending: fold this store into it by the
+      // write-once rule.
+      PendingWrite &P = It->second;
+      if (!upgrades(*P.Art, Art)) {
+        Coalesced.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      const size_t Old = P.Queued ? P.Art->byteSize() : 0;
+      if (!Fits(Bytes, Old)) {
+        Dropped.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      Coalesced.fetch_add(1, std::memory_order_relaxed);
+      QueuedBytes = QueuedBytes - Old + Bytes;
+      P.Art = std::move(Copy);
+      if (!P.Queued) {
+        // Taken by the writer already: the upgrade is written after it.
+        P.Queued = true;
+        Queue.push_back(It);
+      }
+    }
+  }
+  WorkCv.notify_one();
+}
+
+void FileArtifactStore::writeArtifact(const CompiledModule &Art) {
   const std::string Final = pathFor(Art.IRHash, Art.Fingerprint);
   // Write-once: keep a valid incumbent unless ours upgrades it with a
   // program image. An unreadable/corrupt/stale incumbent is replaced —
@@ -263,10 +382,7 @@ void FileArtifactStore::store(const CompiledModule &Art) {
     CompiledModule Incumbent;
     if (readFileBytes(Final, Existing) &&
         validateArtifact(Existing, Art.IRHash, Art.Fingerprint, Incumbent)) {
-      const bool Upgrade = !Incumbent.failed() &&
-                           Incumbent.ProgramBytes.empty() &&
-                           !Art.ProgramBytes.empty();
-      if (!Upgrade) {
+      if (!upgrades(Incumbent, Art)) {
         StoreSkips.fetch_add(1, std::memory_order_relaxed);
         return;
       }
@@ -313,5 +429,7 @@ FileArtifactStore::Stats FileArtifactStore::stats() const {
   S.Stores = Stores.load(std::memory_order_relaxed);
   S.StoreSkips = StoreSkips.load(std::memory_order_relaxed);
   S.Evictions = Evictions.load(std::memory_order_relaxed);
+  S.Dropped = Dropped.load(std::memory_order_relaxed);
+  S.Coalesced = Coalesced.load(std::memory_order_relaxed);
   return S;
 }

@@ -143,10 +143,7 @@ FaultDecision FaultPlan::decide(FaultOp Op, size_t Bytes) {
       }
       break;
     case 4: // slow-loris: bounded stall mid-frame
-      D.K = FaultDecision::Delay;
-      D.DelayMs = Opts.MaxDelayMs ? 1 + static_cast<unsigned>(
-                                            Extra % Opts.MaxDelayMs)
-                                  : 0;
+      D = stall(Extra);
       break;
     case 5: // reset without poisoning: this op fails, fd survives
       D.K = FaultDecision::Fail;
@@ -175,21 +172,27 @@ FaultDecision FaultPlan::decide(FaultOp Op, size_t Bytes) {
     }
     break;
   case FaultOp::FsWrite:
-    if (Kind % 4 == 0) {
+    if (Kind % 5 == 0) {
       D.K = FaultDecision::Fail;
       D.Err = EINTR;
-    } else if (Kind % 4 == 1 && Bytes > 1) {
+    } else if (Kind % 5 == 1 && Bytes > 1) {
       D.K = FaultDecision::Shorten;
       D.ShortenTo = 1 + static_cast<size_t>(Extra % (Bytes - 1));
+    } else if (Kind % 5 == 2) {
+      D = stall(Extra); // slow disk
     } else {
       // The headline store fault: disk full / dying mid-artifact.
       D.K = FaultDecision::Fail;
-      D.Err = Kind % 4 == 2 ? ENOSPC : EIO;
+      D.Err = Kind % 5 == 3 ? ENOSPC : EIO;
     }
     break;
   case FaultOp::FsFsync:
-    D.K = FaultDecision::Fail;
-    D.Err = Kind % 2 ? EIO : ENOSPC;
+    if (Kind % 3 == 0) {
+      D = stall(Extra); // slow disk: the write-behind queue backs up
+    } else {
+      D.K = FaultDecision::Fail;
+      D.Err = Kind % 3 == 1 ? EIO : ENOSPC;
+    }
     break;
   case FaultOp::FsRename:
     D.K = FaultDecision::Fail;
@@ -200,6 +203,14 @@ FaultDecision FaultPlan::decide(FaultOp Op, size_t Bytes) {
   }
   if (D.K == FaultDecision::Proceed)
     Faults.fetch_sub(1, std::memory_order_relaxed);
+  return D;
+}
+
+FaultDecision FaultPlan::stall(uint64_t Extra) const {
+  FaultDecision D;
+  D.K = FaultDecision::Delay;
+  D.DelayMs =
+      Opts.MaxDelayMs ? 1 + static_cast<unsigned>(Extra % Opts.MaxDelayMs) : 0;
   return D;
 }
 

@@ -21,7 +21,11 @@
 #include "darm/support/Hashing.h"
 #include "darm/support/Parallel.h"
 
+#include "helpers/WriterStall.h"
+
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 using namespace darm;
 
@@ -358,6 +362,45 @@ TEST(CompileServiceTest, OversizedArtifactIsServedButNotCached) {
   EXPECT_EQ(Svc.stats().Oversized, 2u);
   EXPECT_EQ(B->ModuleBytes, A->ModuleBytes);
   EXPECT_EQ(B->ProgramBytes, A->ProgramBytes);
+}
+
+TEST(CompileServiceTest, OversizedRepeatBeforeFlushIsDiskHit) {
+  // An oversized artifact never enters memory, so its repeat request is
+  // answered by the persistence layer. A write-behind store must answer
+  // it from its queue while the write is still pending: a DiskHit, not a
+  // second compile.
+  const std::string Dir = "compile_service_test_oversized.dir";
+  std::system(("rm -rf " + Dir).c_str());
+  Context Ctx;
+  Module M(Ctx, "m");
+  Function *F = buildKernel(M, 5);
+  Module Other(Ctx, "other");
+  const CompiledModule First =
+      compileToArtifact(*buildKernel(Other, 6), DARMConfig());
+  {
+    serve::FileArtifactStore Store(Dir);
+    CompileService::Options Opts;
+    Opts.NumShards = 1;
+    Opts.MaxBytes = 256; // far below any real artifact's byteSize()
+    CompileService Svc(Opts);
+    Svc.setPersistence(&Store);
+    // Long enough to cover the compile below even in sanitizer builds.
+    testhelpers::WriterStall Stall(Store, First, /*MinMs=*/1000);
+
+    CacheSource Src = CacheSource::MemoryHit;
+    CompileService::Artifact A = Svc.getOrCompile(*F, DARMConfig(), true, &Src);
+    EXPECT_EQ(Src, CacheSource::Compiled);
+    CompileService::Artifact B = Svc.getOrCompile(*F, DARMConfig(), true, &Src);
+    EXPECT_EQ(Src, CacheSource::DiskHit);
+    EXPECT_EQ(Store.stats().Stores, 0u) << "the write had not landed yet";
+    const CompileService::CacheStats St = Svc.stats();
+    EXPECT_EQ(St.Misses, 1u);
+    EXPECT_EQ(St.DiskHits, 1u);
+    EXPECT_EQ(St.Oversized, 2u);
+    EXPECT_EQ(serializeCompiledModule(*B), serializeCompiledModule(*A));
+    Store.flush();
+  }
+  std::system(("rm -rf " + Dir).c_str());
 }
 
 TEST(CompileServiceTest, ConcurrentGetOrCompileIsDeterministic) {

@@ -22,6 +22,8 @@
 #include "darm/ir/Module.h"
 #include "darm/support/Hashing.h"
 
+#include "helpers/WriterStall.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -697,6 +699,7 @@ TEST_F(ArtifactStoreTest, StoreLoadRoundTrip) {
   ASSERT_TRUE(Store.valid());
   const CompiledModule Art = makeArtifact(41);
   Store.store(Art);
+  Store.flush();
   auto Back = Store.load(Art.IRHash, Art.Fingerprint, /*NeedProgram=*/true);
   ASSERT_NE(Back, nullptr);
   EXPECT_EQ(serializeCompiledModule(*Back), serializeCompiledModule(Art));
@@ -705,6 +708,7 @@ TEST_F(ArtifactStoreTest, StoreLoadRoundTrip) {
 
   // Write-once: storing the same artifact again is a skip, not a write.
   Store.store(Art);
+  Store.flush();
   EXPECT_EQ(Store.stats().Stores, 1u);
   EXPECT_EQ(Store.stats().StoreSkips, 1u);
 }
@@ -719,6 +723,7 @@ TEST_F(ArtifactStoreTest, TruncatedFileIsMissAndHeals) {
   FileArtifactStore Store(Dir);
   const CompiledModule Art = makeArtifact(42);
   Store.store(Art);
+  Store.flush();
   const std::string Path = Store.pathFor(Art.IRHash, Art.Fingerprint);
   const std::vector<uint8_t> Full = serializeCompiledModule(Art);
 
@@ -727,8 +732,10 @@ TEST_F(ArtifactStoreTest, TruncatedFileIsMissAndHeals) {
     EXPECT_EQ(Store.load(Art.IRHash, Art.Fingerprint, true), nullptr)
         << "truncation to " << Len << " bytes must miss";
     // The recompile's store() replaces the corrupt incumbent — the heal
-    // path a real daemon takes right after the miss.
+    // path a real daemon takes right after the miss. The flush makes the
+    // load below read the healed file, not the write-behind queue.
     Store.store(Art);
+    Store.flush();
     EXPECT_NE(Store.load(Art.IRHash, Art.Fingerprint, true), nullptr);
   }
 }
@@ -737,6 +744,7 @@ TEST_F(ArtifactStoreTest, FlippedBytesAreMisses) {
   FileArtifactStore Store(Dir);
   const CompiledModule Art = makeArtifact(43);
   Store.store(Art);
+  Store.flush();
   const std::string Path = Store.pathFor(Art.IRHash, Art.Fingerprint);
   const std::vector<uint8_t> Full = serializeCompiledModule(Art);
   // Every 7th offset keeps the sweep fast while still crossing the
@@ -754,6 +762,7 @@ TEST_F(ArtifactStoreTest, WrongMagicAndStaleVersionAreMisses) {
   FileArtifactStore Store(Dir);
   const CompiledModule Art = makeArtifact(44);
   Store.store(Art);
+  Store.flush();
   const std::string Path = Store.pathFor(Art.IRHash, Art.Fingerprint);
   const std::vector<uint8_t> Full = serializeCompiledModule(Art);
   {
@@ -779,6 +788,7 @@ TEST_F(ArtifactStoreTest, MiskeyedFileIsMiss) {
   const CompiledModule B = makeArtifact(46);
   ASSERT_NE(A.IRHash, B.IRHash);
   Store.store(A);
+  Store.flush();
   writeFile(Store.pathFor(B.IRHash, B.Fingerprint),
             serializeCompiledModule(A));
   EXPECT_EQ(Store.load(B.IRHash, B.Fingerprint, true), nullptr);
@@ -805,8 +815,9 @@ TEST_F(ArtifactStoreTest, TornWriteSweptOnOpen) {
 
 TEST_F(ArtifactStoreTest, ConcurrentWritersOneKey) {
   // N threads race store() on one key; compiles are deterministic so
-  // every writer carries the same bytes — whichever rename lands, the
-  // file must be complete and valid, and later loads must succeed.
+  // every writer carries the same bytes — whichever store the queue keeps
+  // (the rest coalesce), the file must be complete and valid, and later
+  // loads must succeed.
   FileArtifactStore Store(Dir);
   const CompiledModule Art = makeArtifact(48);
   std::vector<std::thread> Writers;
@@ -814,6 +825,7 @@ TEST_F(ArtifactStoreTest, ConcurrentWritersOneKey) {
     Writers.emplace_back([&] { Store.store(Art); });
   for (std::thread &T : Writers)
     T.join();
+  Store.flush();
   auto Back = Store.load(Art.IRHash, Art.Fingerprint, true);
   ASSERT_NE(Back, nullptr);
   EXPECT_EQ(serializeCompiledModule(*Back), serializeCompiledModule(Art));
@@ -873,6 +885,7 @@ TEST_F(ArtifactStoreTest, GcEvictsOldestToBudgetOnOpen) {
     FileArtifactStore Store(Dir);
     Store.store(Old);
     Store.store(Fresh);
+    Store.flush();
     OldSize = fileSize(Store.pathFor(Old.IRHash, Old.Fingerprint));
     FreshSize = fileSize(Store.pathFor(Fresh.IRHash, Fresh.Fingerprint));
     ageFile(Store.pathFor(Old.IRHash, Old.Fingerprint), 1000);
@@ -895,6 +908,7 @@ TEST_F(ArtifactStoreTest, GcKeepsDirectoryUnderBudgetAcrossOverfill) {
     FileArtifactStore Probe(Dir);
     const CompiledModule A = makeArtifact(80);
     Probe.store(A);
+    Probe.flush();
     return fileSize(Probe.pathFor(A.IRHash, A.Fingerprint));
   }();
   std::system(("rm -rf " + Dir).c_str());
@@ -904,8 +918,9 @@ TEST_F(ArtifactStoreTest, GcKeepsDirectoryUnderBudgetAcrossOverfill) {
   FileArtifactStore Store(Dir, Opts);
   for (uint64_t Seed = 80; Seed < 88; ++Seed) {
     Store.store(makeArtifact(Seed));
+    Store.flush();
     EXPECT_LE(storeBytes(Dir), Opts.MaxBytes)
-        << "budget must hold after every store, not eventually";
+        << "budget must hold after every store + flush, not eventually";
   }
   EXPECT_GE(Store.stats().Evictions, 1u);
   // The store still works: the newest key must have survived and load.
@@ -922,11 +937,13 @@ TEST_F(ArtifactStoreTest, LoadBumpsRecencySoHotKeysSurviveGc) {
     FileArtifactStore Store(Dir);
     Store.store(A);
     Store.store(B);
+    Store.flush();
     ageFile(Store.pathFor(A.IRHash, A.Fingerprint), 2000);
     ageFile(Store.pathFor(B.IRHash, B.Fingerprint), 1000);
     // The load bumps A's mtime to now: A is younger than B again.
     ASSERT_NE(Store.load(A.IRHash, A.Fingerprint, true), nullptr);
     Store.store(C);
+    Store.flush();
     Sizes = storeBytes(Dir);
   }
   FileArtifactStore::Options Opts;
@@ -1001,6 +1018,130 @@ TEST_F(ArtifactStoreTest, AgedTempOfForeignLiveProcessIsSwept) {
 }
 
 //===----------------------------------------------------------------------===//
+// Write-behind queue: read-your-writes, coalescing, bound, destructor flush
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// \p N copies of \p Base under distinct keys (IRHash + I): cheap, valid
+/// artifacts of one size for filling the queue.
+std::vector<CompiledModule> distinctCopies(const CompiledModule &Base,
+                                           unsigned N) {
+  std::vector<CompiledModule> Arts(N, Base);
+  for (unsigned I = 0; I < N; ++I)
+    Arts[I].IRHash = Base.IRHash + 1 + I;
+  return Arts;
+}
+
+bool exists(const std::string &Path) {
+  struct stat St;
+  return ::stat(Path.c_str(), &St) == 0;
+}
+} // namespace
+
+TEST_F(ArtifactStoreTest, ReadYourWritesBeforeFlush) {
+  const CompiledModule First = makeArtifact(60);
+  const CompiledModule Full = makeArtifact(61);
+  const CompiledModule Bare = makeArtifact(62, /*IncludeProgram=*/false);
+  FileArtifactStore Store(Dir);
+  testhelpers::WriterStall Stall(Store, First, /*MinMs=*/300);
+  Store.store(Full);
+  Store.store(Bare);
+  ASSERT_FALSE(exists(Store.pathFor(Full.IRHash, Full.Fingerprint)));
+
+  // Nothing has landed, yet a queued key loads byte-identical...
+  auto Back = Store.load(Full.IRHash, Full.Fingerprint, /*NeedProgram=*/true);
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(serializeCompiledModule(*Back), serializeCompiledModule(Full));
+  // ...and a queued program-less entry obeys the NeedProgram rule.
+  EXPECT_EQ(Store.load(Bare.IRHash, Bare.Fingerprint, true), nullptr);
+  EXPECT_NE(Store.load(Bare.IRHash, Bare.Fingerprint, false), nullptr);
+  EXPECT_EQ(Store.stats().Stores, 0u) << "answered before any write landed";
+
+  Store.flush();
+  EXPECT_EQ(Store.stats().Stores, 3u);
+  FileArtifactStore Reopened(Dir);
+  Back = Reopened.load(Full.IRHash, Full.Fingerprint, true);
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(serializeCompiledModule(*Back), serializeCompiledModule(Full));
+}
+
+TEST_F(ArtifactStoreTest, DestructorFlushes) {
+  const std::vector<CompiledModule> Arts = distinctCopies(makeArtifact(63), 32);
+  {
+    FileArtifactStore Store(Dir);
+    for (const CompiledModule &A : Arts)
+      Store.store(A);
+  } // no flush(): the destructor must land every queued write
+  FileArtifactStore Reopened(Dir);
+  for (const CompiledModule &A : Arts)
+    EXPECT_NE(Reopened.load(A.IRHash, A.Fingerprint, true), nullptr)
+        << "key " << A.IRHash << " was queued but never written";
+  EXPECT_EQ(Reopened.stats().Loads, Arts.size());
+}
+
+TEST_F(ArtifactStoreTest, DuplicateStoresCoalesce) {
+  const CompiledModule First = makeArtifact(64);
+  const CompiledModule Bare = makeArtifact(65, /*IncludeProgram=*/false);
+  const CompiledModule Full = makeArtifact(65, /*IncludeProgram=*/true);
+  ASSERT_EQ(Bare.IRHash, Full.IRHash);
+  FileArtifactStore Store(Dir);
+  {
+    testhelpers::WriterStall Stall(Store, First, /*MinMs=*/300);
+    Store.store(Bare);
+    Store.store(Bare); // same key still queued: skipped
+    Store.store(Full); // adds a program image: replaces the queued write
+    Store.store(Bare); // the queued write already has one: skipped
+    EXPECT_EQ(Store.stats().Coalesced, 3u);
+    auto Back = Store.load(Full.IRHash, Full.Fingerprint, /*NeedProgram=*/true);
+    ASSERT_NE(Back, nullptr);
+    EXPECT_EQ(serializeCompiledModule(*Back), serializeCompiledModule(Full));
+    Store.flush();
+  }
+  const FileArtifactStore::Stats S = Store.stats();
+  EXPECT_EQ(S.Stores, 2u) << "one write for the stall key, one for the duplicates";
+  EXPECT_EQ(S.StoreSkips, 0u);
+  FileArtifactStore Reopened(Dir);
+  auto Back = Reopened.load(Full.IRHash, Full.Fingerprint, true);
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(serializeCompiledModule(*Back), serializeCompiledModule(Full));
+}
+
+TEST_F(ArtifactStoreTest, QueueFullDropsNeverBlocks) {
+  const CompiledModule Base = makeArtifact(66);
+  const size_t Each = CompiledModule(Base).byteSize(); // as the queue holds it
+  const unsigned N =
+      static_cast<unsigned>(2 * FileArtifactStore::kMaxQueuedBytes / Each);
+  const std::vector<CompiledModule> Arts = distinctCopies(Base, N);
+  const CompiledModule First = makeArtifact(67);
+  FileArtifactStore Store(Dir);
+  {
+    testhelpers::WriterStall Stall(Store, First, /*MinMs=*/1500);
+    for (const CompiledModule &A : Arts)
+      Store.store(A);
+    // Every store has returned while the writer still sleeps in its first
+    // write: a full queue drops the store, it never waits for room.
+    const FileArtifactStore::Stats S = Store.stats();
+    EXPECT_EQ(S.Stores, 0u);
+    EXPECT_EQ(N - S.Dropped, FileArtifactStore::kMaxQueuedBytes / Each)
+        << "the queue admits exactly what fits its byte bound";
+    // A dropped key is a plain miss; an admitted one answers from the queue.
+    EXPECT_EQ(Store.load(Arts.back().IRHash, Arts.back().Fingerprint, true),
+              nullptr);
+    EXPECT_NE(Store.load(Arts.front().IRHash, Arts.front().Fingerprint, true),
+              nullptr);
+    Store.flush();
+  }
+  const FileArtifactStore::Stats S = Store.stats();
+  EXPECT_GE(S.Dropped, 1u);
+  EXPECT_EQ(S.Stores, 1 + N - S.Dropped);
+  FileArtifactStore Reopened(Dir);
+  unsigned Landed = 0;
+  for (const CompiledModule &A : Arts)
+    Landed += Reopened.load(A.IRHash, A.Fingerprint, true) != nullptr;
+  EXPECT_EQ(Landed, N - S.Dropped);
+}
+
+//===----------------------------------------------------------------------===//
 // CompileService + persistence integration
 //===----------------------------------------------------------------------===//
 
@@ -1017,6 +1158,7 @@ TEST_F(ArtifactStoreTest, ServiceWarmStartsFromDisk) {
     CacheSource Src = CacheSource::MemoryHit;
     ColdArt = Svc.getOrCompile(*F, DARMConfig(), true, &Src);
     EXPECT_EQ(Src, CacheSource::Compiled);
+    Store.flush();
     EXPECT_EQ(Store.stats().Stores, 1u);
   }
   // The restart: a fresh service over the same directory serves the key
@@ -1068,6 +1210,7 @@ TEST_F(ArtifactStoreTest, ServiceRecompilesOverCorruptFile) {
     CompileService::Artifact Art = Svc.getOrCompile(*F, DARMConfig(), true, &Src);
     EXPECT_EQ(Src, CacheSource::Compiled);
     EXPECT_EQ(serializeCompiledModule(*Art), Expect);
+    Store.flush();
     EXPECT_EQ(Store.stats().Stores, 1u) << "the corrupt file must be healed";
   }
   // Third start: clean disk hit again.
@@ -1103,6 +1246,7 @@ TEST_F(ArtifactStoreTest, ProgramlessDiskEntryUpgradesOnDemand) {
         Svc.getOrCompile(*F, DARMConfig(), /*IncludeProgram=*/true, &Src);
     EXPECT_EQ(Src, CacheSource::Compiled);
     EXPECT_FALSE(Art->ProgramBytes.empty());
+    Store.flush();
     EXPECT_EQ(Store.stats().Stores, 1u) << "program upgrade must be written";
   }
   // Now the full artifact serves from disk.
@@ -1141,6 +1285,7 @@ TEST_F(ArtifactStoreTest, NegativeResultsPersist) {
     CompileService::Artifact Art = Svc.getOrCompile(*F, FP, Fail);
     ASSERT_TRUE(Art->failed());
     ColdError = Art->CompileError;
+    Store.flush();
     EXPECT_EQ(Store.stats().Stores, 1u);
   }
   {

@@ -15,13 +15,14 @@
 //       socket path — one serving thread per client, a bounded
 //       connection count with Busy load shedding above it, until
 //       SIGTERM/SIGINT: then stop accepting, drain in-flight requests
-//       (up to --drain-ms), and exit 0. --socket PATH is an alias for
-//       --listen with a Unix path.
+//       (up to --drain-ms), flush the store's queued writes, and exit 0.
+//       --socket PATH is an alias for --listen with a Unix path.
 //   darmd --stdio [--store DIR] [--cache-mb N] [--stats]
 //       serve a single session on stdin/stdout until EOF (the simplest
 //       client is another darmd via socketpair; also handy under a
-//       supervisor that owns the transport). --stats prints a SERVE
-//       summary line to stderr at session end.
+//       supervisor that owns the transport). The store's queued writes
+//       are flushed at session end. --stats prints a SERVE summary line
+//       (cache and store counters) to stderr at exit.
 //
 // Client mode (the CI serve-smoke replay, docs/caching.md):
 //   darmd --connect ENDPOINT --replay-corpus [--repeat N] [--expect-warm]
@@ -89,12 +90,33 @@ int usage() {
   return 2;
 }
 
-void printServeLine(const ServeCounters &C, const CompileService &Svc) {
+/// The --stats line. With a store wired, its counters follow the cache's
+/// (read after a flush, so every accepted store is counted as written or
+/// skipped).
+void printServeLine(const ServeCounters &C, const CompileService &Svc,
+                    const FileArtifactStore *Store) {
   const CompileService::CacheStats CS = Svc.stats();
+  std::string StoreCounters;
+  if (Store) {
+    const FileArtifactStore::Stats SS = Store->stats();
+    char Buf[256];
+    std::snprintf(Buf, sizeof(Buf),
+                  " store_loads=%llu store_misses=%llu store_writes=%llu "
+                  "store_skips=%llu store_coalesced=%llu store_dropped=%llu "
+                  "store_evictions=%llu",
+                  static_cast<unsigned long long>(SS.Loads),
+                  static_cast<unsigned long long>(SS.LoadMisses),
+                  static_cast<unsigned long long>(SS.Stores),
+                  static_cast<unsigned long long>(SS.StoreSkips),
+                  static_cast<unsigned long long>(SS.Coalesced),
+                  static_cast<unsigned long long>(SS.Dropped),
+                  static_cast<unsigned long long>(SS.Evictions));
+    StoreCounters = Buf;
+  }
   std::fprintf(stderr,
                "SERVE requests=%llu compiled=%llu mem_hits=%llu "
                "disk_hits=%llu upgrades=%llu errors=%llu busy=%llu "
-               "timeouts=%llu entries=%llu bytes=%llu\n",
+               "timeouts=%llu entries=%llu bytes=%llu%s\n",
                static_cast<unsigned long long>(C.Requests.load()),
                static_cast<unsigned long long>(C.Compiled.load()),
                static_cast<unsigned long long>(C.MemoryHits.load()),
@@ -104,7 +126,8 @@ void printServeLine(const ServeCounters &C, const CompileService &Svc) {
                static_cast<unsigned long long>(C.Busy.load()),
                static_cast<unsigned long long>(C.Timeouts.load()),
                static_cast<unsigned long long>(CS.Entries),
-               static_cast<unsigned long long>(CS.Bytes));
+               static_cast<unsigned long long>(CS.Bytes),
+               StoreCounters.c_str());
 }
 
 /// The replay corpus: every real benchmark kernel at its smallest paper
@@ -345,8 +368,12 @@ int main(int argc, char **argv) {
 
   if (Stdio) {
     serveStream(STDIN_FILENO, STDOUT_FILENO, Svc, &Counters);
+    // The store writes behind the replies: land every queued artifact
+    // before exiting, so a restart on the same store serves warm.
+    if (Store)
+      Store->flush();
     if (Stats)
-      printServeLine(Counters, Svc);
+      printServeLine(Counters, Svc, Store.get());
     return 0;
   }
 
@@ -385,8 +412,10 @@ int main(int argc, char **argv) {
   while (::read(SignalPipe[0], &Buf, 1) < 0 && errno == EINTR) {
   }
   const bool Drained = Server.drain(DrainMs);
+  if (Store)
+    Store->flush();
   if (Stats)
-    printServeLine(Counters, Svc);
+    printServeLine(Counters, Svc, Store.get());
   std::fprintf(stderr, "darmd: %s\n",
                Drained ? "drained, exiting" : "drain deadline hit, exiting");
   return 0;
